@@ -1,6 +1,6 @@
-//! Combinatorial enumeration used by the support-polynomial engine:
-//! set partitions (kernels of valuations), partial injections (assignments
-//! of partition blocks to named constants), and the associated counting
+//! Combinatorics of the support-polynomial engine: set partitions
+//! (kernels of valuations), counts of partial injections (assignments of
+//! partition blocks to named constants), and the associated counting
 //! functions (Bell, Stirling, binomial).
 
 use crate::bigint::BigInt;
@@ -54,42 +54,6 @@ pub fn bell(m: usize) -> BigInt {
         row = next;
     }
     row[0].clone()
-}
-
-/// Calls `f(assignment)` once for every partial injection from
-/// `{0, …, blocks−1}` into `{0, …, pool−1}`: `assignment[b]` is
-/// `Some(target)` or `None`, and all `Some` targets are pairwise distinct.
-/// Requires `pool ≤ 64`.
-pub fn for_each_partial_injection(
-    blocks: usize,
-    pool: usize,
-    mut f: impl FnMut(&[Option<usize>]),
-) {
-    assert!(pool <= 64, "named-constant pool too large for bitmask");
-    let mut assignment = vec![None; blocks];
-    fn rec(
-        b: usize,
-        blocks: usize,
-        pool: usize,
-        used: u64,
-        assignment: &mut Vec<Option<usize>>,
-        f: &mut impl FnMut(&[Option<usize>]),
-    ) {
-        if b == blocks {
-            f(assignment);
-            return;
-        }
-        assignment[b] = None;
-        rec(b + 1, blocks, pool, used, assignment, f);
-        for t in 0..pool {
-            if used & (1 << t) == 0 {
-                assignment[b] = Some(t);
-                rec(b + 1, blocks, pool, used | (1 << t), assignment, f);
-            }
-        }
-        assignment[b] = None;
-    }
-    rec(0, blocks, pool, 0, &mut assignment, &mut f);
 }
 
 /// Number of partial injections from a `blocks`-set into a `pool`-set:
@@ -180,29 +144,6 @@ mod tests {
             assert!(seen.insert(a.to_vec()), "duplicate partition {a:?}");
         });
         assert_eq!(seen.len(), 15);
-    }
-
-    #[test]
-    fn partial_injections_counted() {
-        for blocks in 0..=4 {
-            for pool in 0..=4 {
-                let mut n = 0u64;
-                let mut seen = std::collections::HashSet::new();
-                for_each_partial_injection(blocks, pool, |a| {
-                    // Injectivity on Some-targets.
-                    let targets: Vec<_> = a.iter().flatten().collect();
-                    let set: std::collections::HashSet<_> = targets.iter().collect();
-                    assert_eq!(targets.len(), set.len());
-                    assert!(seen.insert(a.to_vec()));
-                    n += 1;
-                });
-                assert_eq!(
-                    BigInt::from(n),
-                    count_partial_injections(blocks, pool),
-                    "blocks={blocks} pool={pool}"
-                );
-            }
-        }
     }
 
     #[test]

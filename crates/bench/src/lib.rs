@@ -6,7 +6,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anytime;
 pub mod experiments;
 pub mod load;
 pub mod persistence;

@@ -21,9 +21,8 @@
 //!
 //! Each offered-QPS step reports client-observed counts (ok / busy /
 //! error / lost), HDR-style latency quantiles (p50/p90/p99/p999, ~3%
-//! relative error), time-to-first-chunk quantiles for streamed replies
-//! (the cliff's `series` groups — the latency anytime serving attacks),
-//! achieved QPS, and the server's own stats deltas
+//! relative error), time-to-first-chunk quantiles for chunked replies
+//! (the cliff's `series` groups), achieved QPS, and the server's own stats deltas
 //! (`jobs_shed_total`, `deadline_expired_total`, …) so client and
 //! server accounts of the same overload can be reconciled.
 //!
@@ -430,11 +429,9 @@ struct StepAcc {
     errors: AtomicU64,
     lost: AtomicU64,
     hist: Mutex<Histogram>,
-    /// Time from scheduled send to the *first chunk* of a streamed
+    /// Time from scheduled send to the *first chunk* of a chunked
     /// reply group — only chunked replies (the cliff catalog's `series`
-    /// jobs) land here. This is the latency the anytime path attacks:
-    /// an approx estimate streams within one sampling batch, where the
-    /// sequential path is silent until μ¹ completes.
+    /// jobs) land here.
     ttfc: Mutex<Histogram>,
 }
 
@@ -488,13 +485,11 @@ pub struct StepReport {
     pub p999_us: u64,
     /// Worst ok-reply latency, microseconds.
     pub max_us: u64,
-    /// Streamed reply groups that produced at least one chunk (the
+    /// Chunked reply groups that produced at least one chunk (the
     /// population of the `ttfc_*` quantiles below).
     pub ttfc_count: u64,
     /// Median time from scheduled send to the first chunk of a
-    /// streamed reply, microseconds. With anytime serving on, an
-    /// `approx` estimate bounds this by one sampling batch; the
-    /// sequential path waits for the full μ¹ row.
+    /// chunked reply, microseconds.
     pub ttfc_p50_us: u64,
     /// 99th-percentile time to first chunk, microseconds.
     pub ttfc_p99_us: u64,
@@ -637,7 +632,7 @@ fn account_frame(line: &str, outstanding: &Mutex<VecDeque<Entry>>, acc: &RunAcc)
         None => {
             acc.malformed.fetch_add(1, Ordering::Relaxed);
         }
-        // Chunk lines (series rows, anytime approx estimates) are not
+        // Chunk lines (series rows, eval* members) are not
         // terminal replies, but the first one closes the
         // time-to-first-chunk window: replies arrive in command order,
         // so a chunk belongs to the oldest outstanding entry.

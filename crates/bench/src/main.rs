@@ -10,8 +10,7 @@
 //! `--workload <name>` runs a service workload instead of the
 //! experiment tables: `planner` (routed fast paths vs. forced
 //! enumeration), `persistence` (cold vs. warm store start), `service`
-//! (the open-loop overload harness, smoke-sized), or `anytime` (the
-//! series-cliff TTFE comparison, smoke-sized). All use fixed seeds
+//! (the open-loop overload harness, smoke-sized). All use fixed seeds
 //! (`CAZ_TEST_SEED`, default 3707) and print their JSON report, the
 //! same one their standalone `*_bench` binaries write to disk.
 
@@ -42,12 +41,8 @@ fn run_workload(name: &str) {
             let cfg = caz_bench::load::LoadConfig::smoke(seed);
             println!("{}", caz_bench::load::run_load(&cfg).to_json());
         }
-        "anytime" => {
-            // Smoke-sized here; the full run lives in `anytime_bench`.
-            println!("{}", caz_bench::anytime::run_anytime_bench(seed, 5, 7, 1).to_json());
-        }
         other => {
-            eprintln!("unknown workload {other:?}; known: planner, persistence, service, anytime");
+            eprintln!("unknown workload {other:?}; known: planner, persistence, service");
             std::process::exit(1);
         }
     }
@@ -59,7 +54,7 @@ fn main() {
         match args.get(i + 1) {
             Some(name) => return run_workload(name),
             None => {
-                eprintln!("--workload needs a name (planner, persistence, service, anytime)");
+                eprintln!("--workload needs a name (planner, persistence, service)");
                 std::process::exit(1);
             }
         }

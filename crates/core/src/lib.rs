@@ -9,7 +9,8 @@
 //! * [`measure`]: the finite measures `μᵏ` and the alternative `mᵏ`
 //!   (Theorem 2) by exhaustive enumeration;
 //! * [`poly_engine`]: exact closed forms — `|Suppᵏ|` as a polynomial in
-//!   `k`, limits as ratios of leading coefficients (Theorems 1 and 3);
+//!   `k`, limits as ratios of leading coefficients (Theorems 1 and 3),
+//!   and the rows `μ¹..μᵏ` from one pass over the same classes;
 //! * [`theorems`]: the fast paths each theorem licenses (naïve
 //!   evaluation for Theorem 1, the chase for Theorem 5, …);
 //! * [`owa`]: open-world measures (Proposition 2);
@@ -33,17 +34,18 @@ pub mod weighted;
 pub use measure::{m_k, m_k_series, mu_k, mu_k_conditional, mu_k_conditional_series, mu_k_series, Series};
 pub use owa::{owa_m_k, OwaCount};
 pub use poly_engine::{
-    census_poly, conditional_polys, mu_conditional_exact, mu_exact, support_poly, SupportPoly,
+    census_poly, conditional_polys, mu_conditional_exact, mu_exact, mu_k_series_classes,
+    support_poly, SupportPoly,
 };
 pub use proof_lemmas::{
     bijective_image_census, mu_k_bijective, non_bijective_exact, partition_of_valuations,
     BijectiveCounts,
 };
-pub use sampling::{estimate_mu_k, Estimate, MuSampler, SamplingError};
+pub use sampling::{estimate_mu_k, Estimate, SamplingError};
 pub use support::{
     certain_answers, certainly_true, is_certain_answer, is_possible_answer, supp_k_count,
-    supp_k_count_slice, support_is_full, support_is_nonempty, AndEvent, BoolQueryEvent,
-    ConstraintEvent, ImpliesEvent, NotEvent, SuppEvent, TupleAnswerEvent,
+    support_is_full, support_is_nonempty, AndEvent, BoolQueryEvent, ConstraintEvent,
+    ImpliesEvent, NotEvent, SuppEvent, TupleAnswerEvent,
 };
 pub use theorems::{
     almost_certainly_false, almost_certainly_true, mu, mu_conditional, mu_conditional_fd,

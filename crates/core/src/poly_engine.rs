@@ -19,15 +19,65 @@
 //! class is (all singletons, all fresh) — precisely the `C`-bijective
 //! valuations of naïve evaluation — so `μ(Q, D) ∈ {0, 1}` with value 1
 //! iff naïve evaluation succeeds.
+//!
+//! The same class pass gives every finite row at once:
+//! [`mu_k_series_classes`] buckets the true classes by the named
+//! constants and fresh blocks they use, and reads `|Suppᵏ|` for each
+//! `k ≤ k_max` off those buckets — also below `|A|`, where the
+//! polynomial does not yet apply.
 
-use crate::support::SuppEvent;
-use caz_arith::combinatorics::{for_each_partial_injection, for_each_set_partition};
+use crate::measure::Series;
+use crate::support::{enumeration_for, SuppEvent};
 use caz_arith::{Poly, Ratio};
-use caz_idb::{Cst, Database, NullId, Valuation};
+use caz_idb::{ConstEnum, Cst, Database, NullId, Valuation};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Guard against accidentally exponential inputs: the engine enumerates
 /// `Bell(m)` partitions times the partial injections into `A`.
 pub const MAX_NULLS: usize = 10;
+
+/// Visit one representative valuation per class `(ρ, f)`, together with
+/// `h` (one past the highest named index the class uses, 0 if none) and
+/// `j` (its number of fresh blocks). Blocks mapped by `f` take their
+/// constant from `named`; fresh blocks take `fresh[0]`, `fresh[1]`, …
+/// in order of first appearance, so at most `fresh.len()` of them occur.
+/// Each null either joins a block already used by an earlier null or
+/// opens a new one, so every class is visited exactly once. `visit`
+/// returns `false` to stop the walk; the walker then returns `false`.
+fn for_each_class(
+    nulls: &[NullId],
+    named: &[Cst],
+    fresh: &[Cst],
+    visit: &mut dyn FnMut(&Valuation, usize, usize) -> bool,
+) -> bool {
+    fn rec(
+        i: usize,
+        nulls: &[NullId],
+        pool: (&[Cst], &[Cst]),
+        (h, j): (usize, usize),
+        v: &mut Valuation,
+        visit: &mut dyn FnMut(&Valuation, usize, usize) -> bool,
+    ) -> bool {
+        let Some(&null) = nulls.get(i) else {
+            return visit(v, h, j);
+        };
+        let (named, fresh) = pool;
+        for (t, &c) in named.iter().enumerate() {
+            v.bind(null, c);
+            if !rec(i + 1, nulls, pool, (h.max(t + 1), j), v, visit) {
+                return false;
+            }
+        }
+        for (f, &c) in fresh.iter().enumerate().take(j + 1) {
+            v.bind(null, c);
+            if !rec(i + 1, nulls, pool, (h, j.max(f + 1)), v, visit) {
+                return false;
+            }
+        }
+        true
+    }
+    rec(0, nulls, (named, fresh), (0, 0), &mut Valuation::new(), visit)
+}
 
 /// The exact support polynomial of an event over a database, together
 /// with the class census (for diagnostics and the FP^{#P} experiment).
@@ -82,46 +132,97 @@ pub fn support_poly(event: &dyn SuppEvent, db: &Database) -> SupportPoly {
         m <= MAX_NULLS,
         "support-polynomial engine caps at {MAX_NULLS} nulls (got {m})"
     );
-    let mut named: Vec<Cst> = db.consts().into_iter().collect();
-    named.extend(event.constants());
-    named.sort_by_key(|c| c.name());
-    named.dedup();
-    let c = named.len();
-    assert!(c <= 64, "named-constant pool larger than 64 not supported");
+    let en = enumeration_for(event, db);
+    let c = en.named_count();
+    // Fresh blocks take reserved constants, pairwise distinct and
+    // outside A by construction.
+    let fresh: Vec<Cst> = (0..m).map(|i| Cst::fresh_in("pe", i)).collect();
 
     let mut poly = Poly::zero();
     let mut true_classes = 0u64;
     let mut total_classes = 0u64;
-
-    for_each_set_partition(m, |assignment, num_blocks| {
-        for_each_partial_injection(num_blocks, c, |inj| {
-            total_classes += 1;
-            // Representative valuation for the class: named blocks take
-            // their constant, fresh blocks take reserved fresh constants
-            // (pairwise distinct, outside A by construction).
-            let mut fresh_seen = 0usize;
-            let mut block_value: Vec<Option<Cst>> = vec![None; num_blocks];
-            let v = Valuation::from_pairs(nulls.iter().enumerate().map(|(i, &n)| {
-                let b = assignment[i];
-                let cst = *block_value[b].get_or_insert_with(|| match inj[b] {
-                    Some(t) => named[t],
-                    None => {
-                        let f = Cst::fresh_in("pe", fresh_seen);
-                        fresh_seen += 1;
-                        f
-                    }
-                });
-                (n, cst)
-            }));
-            if event.holds(&v, &v.apply_db(db)) {
-                true_classes += 1;
-                let j = inj.iter().filter(|t| t.is_none()).count();
-                poly += &Poly::falling_factorial(c as i64, j);
-            }
-        });
+    for_each_class(&nulls, en.named(), &fresh, &mut |v, _, j| {
+        total_classes += 1;
+        if event.holds(v, &v.apply_db(db)) {
+            true_classes += 1;
+            poly += &Poly::falling_factorial(c as i64, j);
+        }
+        true
     });
 
     SupportPoly { poly, nulls: m, named_count: c, true_classes, total_classes }
+}
+
+/// The exact sequence `μᵏ(event, D)` for `k = 1..=k_max` from one pass
+/// over the classes `(ρ, f)` — the same values, rendered the same way,
+/// as [`crate::mu_k_series`], which enumerates all `Σₖ kᵐ` valuations.
+///
+/// Only classes that `V^{k_max}(D)` reaches are walked: `f` maps into
+/// the first `min(|A|, k_max)` named constants and at most
+/// `k_max − |A|` blocks are fresh, so the pass never visits more classes
+/// than `V^{k_max}(D)` has valuations. Each true class is bucketed by
+/// `(h, j)` — one past its highest named index, and its number of fresh
+/// blocks — and then, with `c = |A|`,
+///
+/// * for `k ≥ c`: `|Suppᵏ| = Σ n(h, j) · (k − c)(k − c − 1)⋯(k − c − j + 1)`;
+/// * for `k < c`: `Vᵏ(D)` uses the named constants `c₁..c_k` only, so
+///   `|Suppᵏ| = Σ_{h ≤ k} n(h, 0)`.
+///
+/// `cancel` is polled every 1024 classes; `None` means it was set and
+/// the pass was abandoned.
+pub fn mu_k_series_classes(
+    event: &dyn SuppEvent,
+    db: &Database,
+    k_max: usize,
+    cancel: &AtomicBool,
+) -> Option<Series> {
+    let nulls: Vec<NullId> = db.nulls().into_iter().collect();
+    let m = nulls.len();
+    let en = enumeration_for(event, db);
+    let c = en.named_count();
+    let named = &en.named()[..c.min(k_max)];
+    let fresh: Vec<Cst> = (c..c + k_max.saturating_sub(c).min(m)).map(|i| en.nth(i)).collect();
+    // by_class[h][j]: true classes with that (h, j).
+    let mut by_class = vec![vec![0u128; fresh.len() + 1]; named.len() + 1];
+    let mut visited = 0u64;
+    let finished = for_each_class(&nulls, named, &fresh, &mut |v, h, j| {
+        visited += 1;
+        if visited.is_multiple_of(1024) && cancel.load(Ordering::Relaxed) {
+            return false;
+        }
+        if event.holds(v, &v.apply_db(db)) {
+            by_class[h][j] += 1;
+        }
+        true
+    });
+    if !finished {
+        return None;
+    }
+    let ks: Vec<usize> = (1..=k_max).collect();
+    let values = ks
+        .iter()
+        .map(|&k| {
+            let total = ConstEnum::count_valuations(k, m)
+                .expect("valuation space too large to enumerate");
+            let hits: u128 = if k >= c {
+                by_class
+                    .iter()
+                    .flat_map(|row| row.iter().enumerate())
+                    .map(|(j, &n)| n * falling_factorial(k - c, j))
+                    .sum()
+            } else {
+                by_class[..=k].iter().map(|row| row[0]).sum()
+            };
+            Ratio::from_frac(hits, total)
+        })
+        .collect();
+    Some(Series { ks, values })
+}
+
+/// `n(n − 1)⋯(n − j + 1)`: the number of injections of `j` fresh blocks
+/// into `n` fresh constants (0 when `j > n`).
+fn falling_factorial(n: usize, j: usize) -> u128 {
+    (0..j).map(|i| n.saturating_sub(i) as u128).product()
 }
 
 /// The exact limit measure `μ(event, D)` (Theorem 1: always 0 or 1).
@@ -218,6 +319,24 @@ mod tests {
     use crate::support::{BoolQueryEvent, ConstraintEvent, NotEvent, TupleAnswerEvent};
     use caz_idb::{parse_database, Tuple, Value};
     use caz_logic::{naive_eval_bool, parse_query};
+
+    #[test]
+    fn the_walk_visits_every_class_once() {
+        // Σ over partitions into b blocks of the partial injections of
+        // those blocks into A = {c1, c2, c3}.
+        use caz_arith::combinatorics::{count_partial_injections, stirling2};
+        use caz_arith::BigInt;
+        for src in ["R(c1, _x). R(c2, _y). R(c3, _z).", "R(_a, _b). S(_b, c1). S(_c, _d)."] {
+            let db = parse_database(src).unwrap().db;
+            let (m, c) = (db.nulls().len(), db.consts().len());
+            // Every class is inspected, whatever the event.
+            let ev = BoolQueryEvent::new(parse_query("T := exists u, v. R(u, v)").unwrap());
+            let want = (0..=m).fold(BigInt::zero(), |acc, b| {
+                &acc + &(&stirling2(m, b) * &count_partial_injections(b, c))
+            });
+            assert_eq!(BigInt::from(support_poly(&ev, &db).total_classes), want, "{src}");
+        }
+    }
 
     #[test]
     fn census_is_k_to_the_m() {

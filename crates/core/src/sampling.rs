@@ -11,8 +11,7 @@
 
 use crate::support::{enumeration_for, SuppEvent};
 use caz_idb::{Cst, Database, NullId, Valuation};
-use caz_testutil::rngs::StdRng;
-use caz_testutil::{Rng, RngExt, SeedableRng};
+use caz_testutil::{Rng, RngExt};
 use std::fmt;
 
 /// A Monte-Carlo estimate of `μᵏ(event, D)`.
@@ -119,61 +118,6 @@ fn draw<R: Rng + ?Sized>(
     event.holds(&v, &v.apply_db(db))
 }
 
-/// An incremental sampler: owns its RNG and running counts so an anytime
-/// evaluator can interleave small [`MuSampler::batch`] calls with exact
-/// enumeration work and stream a converging estimate.
-pub struct MuSampler<'a> {
-    event: &'a dyn SuppEvent,
-    db: &'a Database,
-    pool: Vec<Cst>,
-    nulls: Vec<NullId>,
-    rng: StdRng,
-    hits: u64,
-    samples: u64,
-}
-
-impl<'a> MuSampler<'a> {
-    /// Set up a sampler for `μᵏ(event, db)` with a deterministic seed.
-    pub fn new(
-        event: &'a dyn SuppEvent,
-        db: &'a Database,
-        k: usize,
-        seed: u64,
-    ) -> Result<MuSampler<'a>, SamplingError> {
-        let nulls: Vec<NullId> = db.nulls().into_iter().collect();
-        if k == 0 && !nulls.is_empty() {
-            return Err(SamplingError::EmptyValuationSpace);
-        }
-        let en = enumeration_for(event, db);
-        Ok(MuSampler {
-            event,
-            db,
-            pool: en.prefix(k.max(1)),
-            nulls,
-            rng: StdRng::seed_from_u64(seed),
-            hits: 0,
-            samples: 0,
-        })
-    }
-
-    /// Draw `n` more samples and return the estimate over *all* samples
-    /// drawn so far.
-    pub fn batch(&mut self, n: u32) -> Estimate {
-        for _ in 0..n.max(1) {
-            if draw(&mut self.rng, self.event, self.db, &self.nulls, &self.pool) {
-                self.hits += 1;
-            }
-            self.samples += 1;
-        }
-        estimate_from_counts(self.hits, self.samples)
-    }
-
-    /// Total samples drawn so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,29 +186,5 @@ mod tests {
             estimate_mu_k(&mut rng, &ev, &db, 3, 0).unwrap_err(),
             SamplingError::ZeroSamples
         );
-        match MuSampler::new(&ev, &db, 0, 1) {
-            Err(e) => assert_eq!(e, SamplingError::EmptyValuationSpace),
-            Ok(_) => panic!("k = 0 sampler must be rejected"),
-        }
-    }
-
-    #[test]
-    fn incremental_sampler_accumulates_and_converges() {
-        let db = parse_database("R(c1, _x). R(c2, _y).").unwrap().db;
-        let q = parse_query("Col := exists p. R(c1, p) & R(c2, p)").unwrap();
-        let ev = BoolQueryEvent::new(q);
-        let k = 5;
-        let exact = mu_k(&ev, &db, k).to_f64();
-        let mut sampler = MuSampler::new(&ev, &db, k, 42).unwrap();
-        let first = sampler.batch(100);
-        assert_eq!(first.samples, 100);
-        let mut last = first;
-        for _ in 0..39 {
-            last = sampler.batch(100);
-        }
-        assert_eq!(sampler.samples(), 4000);
-        assert_eq!(last.samples, 4000);
-        assert!(last.std_error < first.std_error);
-        assert!(last.consistent_with(exact), "{} ± {} vs {exact}", last.value, last.std_error);
     }
 }

@@ -225,34 +225,6 @@ pub fn supp_k_count(event: &dyn SuppEvent, db: &Database, k: usize) -> u128 {
         .count() as u128
 }
 
-/// Hits of the event on the flat index range `[start, end)` of `Vᵏ(D)`
-/// (same enumeration order as [`supp_k_count`]; summing disjoint covering
-/// slices reproduces the full count). Checks `cancel` every ~1024
-/// valuations and returns `None` if it is set, so parallel subtasks can
-/// be abandoned promptly when the client goes away.
-pub fn supp_k_count_slice(
-    event: &dyn SuppEvent,
-    db: &Database,
-    k: usize,
-    start: u128,
-    end: u128,
-    cancel: &std::sync::atomic::AtomicBool,
-) -> Option<u64> {
-    use std::sync::atomic::Ordering;
-    let en = enumeration_for(event, db);
-    let nulls = db.nulls();
-    let mut hits = 0u64;
-    for (i, v) in en.valuations_slice(&nulls, k, start, end).enumerate() {
-        if i % 1024 == 0 && cancel.load(Ordering::Relaxed) {
-            return None;
-        }
-        if event.holds(&v, &v.apply_db(db)) {
-            hits += 1;
-        }
-    }
-    Some(hits)
-}
-
 /// The bounded witness pool `Const(D) ∪ C ∪ A_m` that suffices for
 /// existential/universal statements about supports (the range-reduction
 /// argument in the proof of Theorem 8, which only uses genericity).
@@ -412,27 +384,6 @@ mod tests {
             parse_query("Q := exists x. U(x) & x = 'a'").unwrap(),
         )));
         assert_eq!(supp_k_count(&not_ev, &db, 4), 3);
-    }
-
-    #[test]
-    fn sliced_counts_sum_to_the_full_count_and_cancel_promptly() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let db = parse_database("U(_x). U(_y). V(a). V(b).").unwrap().db;
-        let ev = BoolQueryEvent::new(parse_query("Q := exists x. U(x) & V(x)").unwrap());
-        let k = 5;
-        let total = ConstEnum::count_valuations(k, 2).unwrap();
-        let full = supp_k_count(&ev, &db, k);
-        let live = AtomicBool::new(false);
-        for bounds in [vec![0, total], vec![0, 7, 13, total], vec![0, 1, 2, total]] {
-            let sum: u64 = bounds
-                .windows(2)
-                .map(|w| supp_k_count_slice(&ev, &db, k, w[0], w[1], &live).unwrap())
-                .sum();
-            assert_eq!(sum as u128, full, "split {bounds:?}");
-        }
-        let cancelled = AtomicBool::new(true);
-        cancelled.store(true, Ordering::Relaxed);
-        assert_eq!(supp_k_count_slice(&ev, &db, k, 0, total, &cancelled), None);
     }
 
     #[test]

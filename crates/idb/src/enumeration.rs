@@ -66,48 +66,6 @@ impl ConstEnum {
             pool: self.prefix(k),
             counter: vec![0; nulls.len()],
             done: k == 0 && !nulls.is_empty(),
-            remaining: u128::MAX,
-        }
-    }
-
-    /// Iterator over the contiguous index range `[start, end)` of `Vᵏ(D)`,
-    /// in the same order as [`ConstEnum::valuations`]: the valuation at
-    /// flat index `i` assigns `counter[pos] = (i / k^pos) % k` (the first
-    /// null is the least-significant digit). Concatenating slices that
-    /// cover `[0, k^m)` reproduces the full enumeration, which is what
-    /// makes support counting splittable across subtasks.
-    pub fn valuations_slice(
-        &self,
-        nulls: &BTreeSet<NullId>,
-        k: usize,
-        start: u128,
-        end: u128,
-    ) -> ValuationIter {
-        let m = nulls.len();
-        let total = ConstEnum::count_valuations(k, m).unwrap_or(u128::MAX);
-        let end = end.min(total);
-        if start >= end {
-            return ValuationIter {
-                nulls: Vec::new(),
-                pool: Vec::new(),
-                counter: Vec::new(),
-                done: true,
-                remaining: 0,
-            };
-        }
-        // Seed the mixed-radix counter with the digits of `start`.
-        let mut counter = vec![0; m];
-        let mut d = start;
-        for slot in counter.iter_mut() {
-            *slot = (d % k as u128) as usize;
-            d /= k as u128;
-        }
-        ValuationIter {
-            nulls: nulls.iter().copied().collect(),
-            pool: self.prefix(k),
-            counter,
-            done: false,
-            remaining: end - start,
         }
     }
 
@@ -123,19 +81,15 @@ pub struct ValuationIter {
     pool: Vec<Cst>,
     counter: Vec<usize>,
     done: bool,
-    /// Remaining items to yield; `u128::MAX` for unsliced iteration
-    /// (which terminates by counter wrap-around instead).
-    remaining: u128,
 }
 
 impl Iterator for ValuationIter {
     type Item = Valuation;
 
     fn next(&mut self) -> Option<Valuation> {
-        if self.done || self.remaining == 0 {
+        if self.done {
             return None;
         }
-        self.remaining -= 1;
         let v = Valuation::from_pairs(
             self.nulls
                 .iter()
@@ -215,47 +169,5 @@ mod tests {
     fn count_overflow_checked() {
         assert_eq!(ConstEnum::count_valuations(2, 127), Some(1 << 127));
         assert_eq!(ConstEnum::count_valuations(2, 200), None);
-    }
-
-    #[test]
-    fn slices_concatenate_to_the_full_enumeration() {
-        let e = ConstEnum::new([Cst::new("a"), Cst::new("b")]);
-        let nulls: BTreeSet<NullId> = (0..3).map(|_| NullId::fresh()).collect();
-        let k = 3;
-        let total = ConstEnum::count_valuations(k, nulls.len()).unwrap();
-        assert_eq!(total, 27);
-        let full: Vec<Valuation> = e.valuations(&nulls, k).collect();
-        // Uneven split points, including a mid-digit boundary.
-        for bounds in [vec![0, 27], vec![0, 1, 5, 14, 27], vec![0, 13, 13, 27]] {
-            let mut glued = Vec::new();
-            for w in bounds.windows(2) {
-                glued.extend(e.valuations_slice(&nulls, k, w[0], w[1]));
-            }
-            assert_eq!(glued, full, "split {bounds:?}");
-        }
-    }
-
-    #[test]
-    fn slice_bounds_are_clamped_and_empty_slices_yield_nothing() {
-        let e = ConstEnum::new([Cst::new("a")]);
-        let nulls: BTreeSet<NullId> = (0..2).map(|_| NullId::fresh()).collect();
-        // end past k^m is clamped; start >= end is empty.
-        assert_eq!(e.valuations_slice(&nulls, 2, 2, 100).count(), 2);
-        assert_eq!(e.valuations_slice(&nulls, 2, 3, 3).count(), 0);
-        assert_eq!(e.valuations_slice(&nulls, 2, 9, 12).count(), 0);
-        // Zero nulls: the single empty valuation lives at index 0.
-        let none = BTreeSet::new();
-        assert_eq!(e.valuations_slice(&none, 5, 0, 1).count(), 1);
-        assert_eq!(e.valuations_slice(&none, 5, 1, 2).count(), 0);
-    }
-
-    #[test]
-    fn slice_starting_mid_space_matches_skipped_full_iteration() {
-        let e = ConstEnum::new([Cst::new("a"), Cst::new("b"), Cst::new("c")]);
-        let nulls: BTreeSet<NullId> = (0..4).map(|_| NullId::fresh()).collect();
-        let k = 2;
-        let full: Vec<Valuation> = e.valuations(&nulls, k).collect();
-        let slice: Vec<Valuation> = e.valuations_slice(&nulls, k, 7, 13).collect();
-        assert_eq!(slice, full[7..13]);
     }
 }

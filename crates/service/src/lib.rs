@@ -42,7 +42,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod anytime;
 pub mod cache;
 mod flush;
 pub mod http;

@@ -97,9 +97,6 @@ pub struct Metrics {
     /// Point-in-time pool queue depth, refreshed when a `stats`
     /// snapshot is taken (a gauge, not a counter).
     pub queue_depth: AtomicU64,
-    /// `ok* approx …` estimate chunks streamed to live connections by
-    /// anytime `series` jobs (batch mode and cache replays stream none).
-    pub anytime_chunks: AtomicU64,
     /// HTTP requests parsed off sniffed HTTP/1.1 connections (every
     /// routed request, including ones answered without a session, e.g.
     /// `/healthz` and routing errors).
@@ -114,12 +111,6 @@ pub struct Metrics {
     /// they were produced and the per-connection write buffer hit its
     /// cap ([`crate::ServerConfig::max_wbuf_bytes`]).
     pub slow_reader_disconnects: AtomicU64,
-    /// Enumeration subtasks executed by a worker other than the one
-    /// that scattered them (work actually stolen, not just queued).
-    pub subtasks_stolen: AtomicU64,
-    /// Enumeration subtasks abandoned mid-slice because their job's
-    /// cancellation token fired (client disconnected).
-    pub subtasks_cancelled: AtomicU64,
     /// Executed jobs routed through Theorem 1 (direct naïve measure).
     pub route_theorem1: AtomicU64,
     /// Executed jobs routed through Theorem 4 (Σ^naïve(D) held, so the
@@ -203,14 +194,11 @@ impl Default for Metrics {
             deadline_expired: AtomicU64::new(0),
             conn_inflight_rejected: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
-            anytime_chunks: AtomicU64::new(0),
             http_requests: AtomicU64::new(0),
             http_2xx: AtomicU64::new(0),
             http_4xx: AtomicU64::new(0),
             http_5xx: AtomicU64::new(0),
             slow_reader_disconnects: AtomicU64::new(0),
-            subtasks_stolen: AtomicU64::new(0),
-            subtasks_cancelled: AtomicU64::new(0),
             route_theorem1: AtomicU64::new(0),
             route_theorem4: AtomicU64::new(0),
             route_theorem5: AtomicU64::new(0),
@@ -300,10 +288,6 @@ impl Metrics {
             self.conn_inflight_rejected.load(Ordering::Relaxed),
         );
         line("queue_depth", self.queue_depth.load(Ordering::Relaxed));
-        line(
-            "anytime_chunks_total",
-            self.anytime_chunks.load(Ordering::Relaxed),
-        );
         line("http_requests_total", self.http_requests.load(Ordering::Relaxed));
         line("http_responses_2xx_total", self.http_2xx.load(Ordering::Relaxed));
         line("http_responses_4xx_total", self.http_4xx.load(Ordering::Relaxed));
@@ -311,14 +295,6 @@ impl Metrics {
         line(
             "slow_reader_disconnects_total",
             self.slow_reader_disconnects.load(Ordering::Relaxed),
-        );
-        line(
-            "subtasks_stolen_total",
-            self.subtasks_stolen.load(Ordering::Relaxed),
-        );
-        line(
-            "subtasks_cancelled_total",
-            self.subtasks_cancelled.load(Ordering::Relaxed),
         );
         line(
             "planner_route_theorem1_direct_total",
@@ -453,9 +429,6 @@ mod tests {
             "deadline_expired_total 0",
             "conn_inflight_rejected_total 0",
             "queue_depth 0",
-            "anytime_chunks_total 0",
-            "subtasks_stolen_total 0",
-            "subtasks_cancelled_total 0",
             // Replication keys are always present; a standalone server
             // reports role 0 (single) and ready 1.
             "role 0",

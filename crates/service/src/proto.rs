@@ -2,7 +2,7 @@
 //!
 //! Requests are the session command language, one command per line
 //! (`\n`-terminated). Historically every request got exactly one reply
-//! line; the vectorized `eval*` command and streamed `series` replies
+//! line; the vectorized `eval*` command and chunked `series` replies
 //! relax that invariant into *reply groups*: zero or more tagged chunk
 //! lines followed by exactly one terminal line.
 //!
@@ -30,32 +30,14 @@
 //!   index — **in completion order, not index order** — then a terminal
 //!   `ok done <n>`. A failed job is an `err*` chunk; it never aborts its
 //!   siblings.
-//! * **`series <name> <k>`** — the server streams one chunk per `k`,
-//!   tagged `1..=k`, each payload one `k=…` row of the series table, as
-//!   soon as that μᵏ is computed (ascending `k`), then a terminal
-//!   `ok done <k>`. Joining the chunk payloads with newlines (plus a
-//!   trailing newline) reconstructs byte-for-byte what the interactive
-//!   shell prints. With **anytime serving** enabled (the default on
-//!   live connections; see `--no-anytime`), an expensive series job
-//!   additionally interleaves Monte-Carlo estimate chunks of the final
-//!   μ^k_max while the exact enumeration proceeds:
-//!
-//!   ```text
-//!   approx  = "ok* approx " value " ±" err " " samples LF
-//!   value   = point estimate, 6 decimal places
-//!   err     = one standard error (Agresti–Coull), 6 decimal places
-//!   samples = number of Monte-Carlo samples behind the estimate
-//!   ```
-//!
-//!   `approx` chunks are advisory and carry the literal tag `approx`
-//!   (never a number, so they cannot collide with `k`-row tags):
-//!   clients reconstructing the exact table skip them. They appear only
-//!   on cache misses computed for a live streaming connection — batch
-//!   mode, `--no-anytime`, and cache-hit replays emit none — and they
-//!   are never part of the cached aggregate, so a hit replays exactly
-//!   the `k`-row chunks plus `ok done <k>`. Stripping `approx` chunks,
-//!   the frame sequence is byte-identical with and without anytime
-//!   serving.
+//! * **`series <name> <k>`** — one chunk per `k`, tagged `1..=k`, each
+//!   payload one `k=…` row of the series table (ascending `k`), then a
+//!   terminal `ok done <k>`. Joining the chunk payloads with newlines
+//!   (plus a trailing newline) reconstructs byte-for-byte what the
+//!   interactive shell prints. All rows come from one exact pass over
+//!   the genericity classes of the proof of Theorem 3, so they leave
+//!   the server together once the pass ends; a cache hit replays the
+//!   same group.
 //! * **`explain <eval command>`** — the planner's full report as word-
 //!   tagged chunks, then a terminal `ok done <n>`: one `route` chunk
 //!   (the chosen route's kebab-case name), one `features` chunk (the
@@ -103,8 +85,8 @@
 /// *Overload replies* section.
 pub const BUSY: &str = "busy";
 
-/// Internal error payload for a job abandoned because its client
-/// disconnected mid-stream (anytime cancellation). Never written to a
+/// Internal error payload for a `series` job abandoned because its
+/// client disconnected while it ran. Never written to a
 /// live connection — by construction the connection is already gone —
 /// and excluded from `errors_total`; it exists so the completion path
 /// can tell "client left" from a real evaluation failure.

@@ -62,22 +62,21 @@
 //! written prefix of `wbuf` is compacted away, and a connection whose
 //! *unsent* bytes exceed [`ServerConfig::max_wbuf_bytes`]
 //! (`crate::ServerConfig`) is disconnected and counted in
-//! `slow_reader_disconnects_total` — a peer that stops reading its
-//! streamed `series` can no longer grow the buffer without bound.
+//! `slow_reader_disconnects_total` — a peer that pipelines commands
+//! but stops reading can no longer grow the buffer without bound.
 //!
 //! The syscall surface (`epoll_create1`/`epoll_ctl`/`epoll_wait`,
 //! `pipe2`) is declared directly against libc in the [`sys`] submodule
 //! — the workspace is std-only by charter, so no crate dependency; all
 //! `unsafe` in this crate is confined to those few wrappers.
 
-use crate::anytime::eval_series_anytime;
 use crate::http::{self, HttpError, RequestParser, Routed};
 use crate::pool::{DetachedJob, JobResult, Outcome, TrySubmitError};
 use crate::proto::{encode_frame, WireFrame, WireReply};
 use crate::server::{
-    classify, done_frame, eval_on_worker, multi_frame, new_hit_flag, plan_frames, plan_on_worker,
-    series_frames, settle_eval, settle_plan, single_frame, Control, HitFlag, MultiJob, Shared,
-    Step,
+    classify, done_frame, eval_on_worker, eval_series_on_worker, multi_frame, new_hit_flag,
+    plan_frames, plan_on_worker, series_frames, settle_eval, settle_plan, single_frame, Control,
+    HitFlag, MultiJob, Shared, Step,
 };
 use crate::session::Session;
 use std::collections::{HashMap, VecDeque};
@@ -120,32 +119,19 @@ fn unframed_tail_len(rbuf: &[u8]) -> usize {
 
 /// What one finished piece of pool work means for its connection.
 enum Done {
-    /// One streamed `series` row (`k` ascending), emitted by the worker
-    /// while later rows are still being computed.
-    SeriesRow { k: usize, row: String },
-    /// One anytime estimate for an in-flight `series` job, framed under
-    /// the literal `approx` tag (see [`crate::proto`]). Advisory: never
-    /// cached, only queued while the originating command is still the
-    /// connection's in-flight `series`.
-    SeriesApprox { payload: String },
-    /// A single `eval`/`mu`/`certain` job finished.
+    /// A single `eval`/`mu`/`certain` job finished, or a `series` job
+    /// (`series: true`) whose aggregate table is framed with
+    /// [`series_frames`].
     Single {
         hit: HitFlag,
         start: Instant,
         result: JobResult,
         outcome: Outcome,
+        series: bool,
     },
     /// One member job of an `eval*` group finished.
     Sub {
         index: usize,
-        hit: HitFlag,
-        start: Instant,
-        result: JobResult,
-        outcome: Outcome,
-    },
-    /// The `series` job returned its aggregate (all rows already
-    /// emitted on a miss; none emitted on a cache hit).
-    SeriesEnd {
         hit: HitFlag,
         start: Instant,
         result: JobResult,
@@ -184,12 +170,10 @@ impl Notifier {
 
 /// What the reactor's serving loop still owes one connection.
 enum Inflight {
-    /// One evaluation job on the pool.
+    /// One evaluation (`series` and `plan` included) job on the pool.
     Single,
     /// An `eval*` group: chunks outstanding before the terminal line.
     Multi { remaining: usize, total: usize },
-    /// A streaming `series` job.
-    Series,
 }
 
 /// How a connection frames its input and replies.
@@ -238,7 +222,7 @@ struct HttpMeta {
 
 /// A transport-level protocol error. Queued *behind* everything already
 /// admitted so the terminal error reaches the peer at a group boundary
-/// — never interleaved into a streaming `series` or `eval*` group —
+/// — never interleaved into a chunked `series` or `eval*` group —
 /// after which the connection closes.
 enum Fatal {
     /// A line-protocol peer buffered more than [`MAX_LINE_BYTES`]
@@ -295,9 +279,9 @@ struct Conn {
     /// How much of `wbuf` the socket has taken.
     wpos: usize,
     inflight: Option<Inflight>,
-    /// Cancellation token of the in-flight anytime `series` job, if
-    /// any: fired when the connection dies so its enumeration subtasks
-    /// stop instead of burning the pool for a reply nobody will read.
+    /// Cancellation token of the in-flight `series` job, if any: fired
+    /// when the connection dies so its class pass stops instead of
+    /// burning a worker for a reply nobody will read.
     cancel: Option<Arc<AtomicBool>>,
     /// `EPOLLOUT` interest is currently registered.
     want_write: bool,
@@ -441,11 +425,10 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    // Replies stream frame by frame (series rows,
-                    // anytime estimates); with Nagle on, a frame
-                    // written while an earlier one is unacked waits
-                    // for the peer's delayed ACK (~40ms) — a latency
-                    // floor that would swamp the estimates' head start.
+                    // Replies go out as they complete; with Nagle on, a
+                    // reply written while an earlier one is unacked
+                    // waits for the peer's delayed ACK (~40ms) — a
+                    // latency floor for every pipelining client.
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
@@ -845,7 +828,7 @@ impl Reactor {
                         on_done: Box::new(move |result, outcome| {
                             notifier.push(Completion {
                                 conn: id,
-                                done: Done::Single { hit, start, result, outcome },
+                                done: Done::Single { hit, start, result, outcome, series: false },
                             });
                         }),
                         deadline: self.shared.job_deadline(),
@@ -931,53 +914,39 @@ impl Reactor {
             }
             Step::Series { ev, start } => {
                 let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.inflight = Some(Inflight::Series);
+                conn.inflight = Some(Inflight::Single);
                 let cancel = Arc::new(AtomicBool::new(false));
                 conn.cancel = Some(Arc::clone(&cancel));
                 let job_session = conn.session.clone();
                 let job_shared = Arc::clone(&self.shared);
                 let hit = new_hit_flag();
                 let job_hit = Arc::clone(&hit);
-                let row_notifier = Arc::clone(&self.notifier);
-                let approx_notifier = Arc::clone(&self.notifier);
-                let end_notifier = Arc::clone(&self.notifier);
+                let notifier = Arc::clone(&self.notifier);
                 let admitted = self.admit(
                     id,
                     DetachedJob {
                         work: Box::new(move || {
-                            eval_series_anytime(
+                            eval_series_on_worker(
                                 &job_shared,
                                 &job_session,
                                 &ev,
                                 &job_hit,
                                 start,
                                 &cancel,
-                                &mut |k, row| {
-                                    row_notifier.push(Completion {
-                                        conn: id,
-                                        done: Done::SeriesRow { k, row: row.to_string() },
-                                    });
-                                },
-                                &mut |payload| {
-                                    approx_notifier.push(Completion {
-                                        conn: id,
-                                        done: Done::SeriesApprox { payload: payload.to_string() },
-                                    });
-                                },
                             )
                         }),
                         on_done: Box::new(move |result, outcome| {
-                            end_notifier.push(Completion {
+                            notifier.push(Completion {
                                 conn: id,
-                                done: Done::SeriesEnd { hit, start, result, outcome },
+                                done: Done::Single { hit, start, result, outcome, series: true },
                             });
                         }),
                         deadline: self.shared.job_deadline(),
                     },
                 );
                 if !admitted {
-                    // No row chunk was emitted (the job never ran), so
-                    // the group collapses to its terminal err line.
+                    // The job never ran, so the group collapses to its
+                    // terminal err line.
                     self.shed_inflight(id);
                 }
             }
@@ -1056,39 +1025,15 @@ impl Reactor {
     fn complete(&mut self, completion: Completion) {
         let id = completion.conn;
         match completion.done {
-            Done::SeriesRow { k, row } => {
-                let streaming = matches!(
-                    self.conns.get(&id).and_then(|c| c.inflight.as_ref()),
-                    Some(Inflight::Series)
-                );
-                if streaming {
-                    self.queue_frames(
-                        id,
-                        &[WireFrame::Chunk { tag: k.to_string(), payload: row }],
-                    );
-                }
-            }
-            Done::SeriesApprox { payload } => {
-                // Same suppression as rows: only while the originating
-                // `series` is still this connection's in-flight command.
-                // Counted only when actually queued to a live client.
-                let streaming = matches!(
-                    self.conns.get(&id).and_then(|c| c.inflight.as_ref()),
-                    Some(Inflight::Series)
-                );
-                if streaming {
-                    self.shared.metrics.anytime_chunks.fetch_add(1, Ordering::Relaxed);
-                    self.queue_frames(
-                        id,
-                        &[WireFrame::Chunk { tag: "approx".into(), payload }],
-                    );
-                }
-            }
-            Done::Single { hit, start, result, outcome } => {
+            Done::Single { hit, start, result, outcome, series } => {
                 let result = settle_eval(&self.shared, &hit, start, result, outcome);
                 let Some(conn) = self.conns.get_mut(&id) else { return };
                 conn.finish_command();
-                self.queue_frames(id, &[single_frame(result)]);
+                let frames = match result {
+                    Ok(aggregate) if series => series_frames(&aggregate),
+                    result => vec![single_frame(result)],
+                };
+                self.queue_frames(id, &frames);
                 self.pump(id);
             }
             Done::Sub { index, hit, start, result, outcome } => {
@@ -1115,23 +1060,6 @@ impl Reactor {
                 let Some(conn) = self.conns.get_mut(&id) else { return };
                 conn.finish_command();
                 self.queue_frames(id, &plan_frames(explain, result));
-                self.pump(id);
-            }
-            Done::SeriesEnd { hit, start, result, outcome } => {
-                let was_hit = hit.load(Ordering::Acquire);
-                let result = settle_eval(&self.shared, &hit, start, result, outcome);
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                conn.finish_command();
-                let frames = match result {
-                    // A cache hit emitted no rows: replay the cached
-                    // aggregate as the full chunked group. On a miss
-                    // the rows already went out as chunks; close the
-                    // group.
-                    Ok(aggregate) if was_hit => series_frames(&aggregate),
-                    Ok(aggregate) => vec![done_frame(aggregate.lines().count())],
-                    Err(e) => vec![WireFrame::Final(WireReply::Err(e))],
-                };
-                self.queue_frames(id, &frames);
                 self.pump(id);
             }
         }
@@ -1246,8 +1174,8 @@ impl Reactor {
             } else if !dead {
                 // Partial drain: compact the written prefix so a slow
                 // reader's buffer holds only unsent bytes, then bound
-                // those — a peer that stops reading a streamed series
-                // must not grow the buffer without limit.
+                // those — a peer that stops reading must not grow the
+                // buffer without limit.
                 if conn.wpos >= WBUF_COMPACT_MIN {
                     conn.wbuf.drain(..conn.wpos);
                     conn.wpos = 0;
@@ -1287,7 +1215,7 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&id) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
             // Nobody is left to read the reply: tell the in-flight
-            // anytime job to stop enumerating. The job still settles
+            // series job to stop its class pass. The job still settles
             // through its completion (counted, never cached).
             if let Some(cancel) = &conn.cancel {
                 cancel.store(true, Ordering::Relaxed);

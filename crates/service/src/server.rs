@@ -102,26 +102,15 @@ pub struct ServerConfig {
     /// under overload. `0` (the default) disables both: jobs wait
     /// however long backpressure takes.
     pub queue_deadline_ms: u64,
-    /// Anytime serving for expensive `series` jobs over live
-    /// connections: stream `ok* approx …` estimate chunks while the
-    /// exact enumeration proceeds, and split that enumeration across
-    /// the pool as work-stealing subtasks. Disabled (`--no-anytime`),
-    /// series jobs run the sequential legacy path with no approx
-    /// chunks — the differential baseline; final frames are
-    /// byte-identical either way.
-    pub anytime: bool,
-    /// Target cadence of `ok* approx …` chunks in milliseconds
-    /// (`--anytime-interval-ms`).
-    pub anytime_interval_ms: u64,
     /// Serve HTTP/1.1 (keep-alive, chunked responses) on the same port
     /// as the line protocol, sniffed per connection from the first
     /// bytes (see [`crate::http`]). `--no-http` disables the sniffer,
     /// restoring a line-protocol-only listener.
     pub http: bool,
     /// Cap on *unsent* reply bytes buffered per connection. A peer that
-    /// reads slower than its replies are produced (e.g. an unread
-    /// streaming `series`) is disconnected once the buffer exceeds the
-    /// cap, counted in `slow_reader_disconnects_total`. `0` disables
+    /// reads slower than its replies are produced (e.g. a pipelining
+    /// client that never reads) is disconnected once the buffer exceeds
+    /// the cap, counted in `slow_reader_disconnects_total`. `0` disables
     /// the bound (the pre-cap behavior: unbounded growth).
     pub max_wbuf_bytes: usize,
     /// How this process participates in a cluster (see
@@ -159,8 +148,6 @@ impl Default for ServerConfig {
             planner: true,
             max_inflight_per_conn: 0,
             queue_deadline_ms: 0,
-            anytime: true,
-            anytime_interval_ms: 25,
             http: true,
             max_wbuf_bytes: 4 << 20,
             role: Role::Single,
@@ -188,10 +175,6 @@ pub(crate) struct Shared {
     /// Queue deadline for pool jobs; `Some` also enables shed-on-full
     /// (see [`ServerConfig::queue_deadline_ms`]).
     pub(crate) queue_deadline: Option<std::time::Duration>,
-    /// Anytime serving for streamed `series` jobs: `Some(cadence)` of
-    /// the approx chunks, `None` when `--no-anytime` forces the
-    /// sequential legacy path (see [`ServerConfig::anytime`]).
-    pub(crate) anytime: Option<std::time::Duration>,
     /// Sniff and serve HTTP/1.1 alongside the line protocol (see
     /// [`ServerConfig::http`]).
     pub(crate) http: bool,
@@ -264,9 +247,6 @@ impl Shared {
             max_inflight_per_conn: cfg.max_inflight_per_conn,
             queue_deadline: (cfg.queue_deadline_ms > 0)
                 .then(|| std::time::Duration::from_millis(cfg.queue_deadline_ms)),
-            anytime: cfg
-                .anytime
-                .then(|| std::time::Duration::from_millis(cfg.anytime_interval_ms.max(1))),
             http: cfg.http,
             wbuf_cap: cfg.max_wbuf_bytes,
             role: cfg.role,
@@ -351,9 +331,9 @@ pub(crate) enum Step {
         ready: Vec<WireFrame>,
         jobs: Vec<MultiJob>,
     },
-    /// A `series` line: stream row chunks from a worker via
-    /// [`Session::eval_series_chunks`] (no rows when the worker finds
-    /// the aggregate in the cache — the driver replays them instead).
+    /// A `series` line: one job whose aggregate (computed, or found in
+    /// the cache) the reactor and the batch loop frame with
+    /// [`series_frames`].
     Series { ev: EvalRequest, start: Instant },
     /// A `plan`/`explain` line: classification runs on a worker (the
     /// Theorem-4 check naïvely evaluates Σ against the database — data-
@@ -608,27 +588,28 @@ pub(crate) fn eval_on_worker(
     result
 }
 
-/// [`eval_on_worker`] for a `series` job: on a miss the rows stream
-/// through `emit` while later rows are still being computed; on a hit
-/// nothing is emitted and the driver replays the cached aggregate.
+/// [`eval_on_worker`] for a `series` job: the aggregate table from
+/// the cache, or from one class pass on a miss. The pass polls
+/// `cancel` (set by the reactor when the client disconnects) and then
+/// settles as [`crate::proto::CANCELLED`], uncached.
 pub(crate) fn eval_series_on_worker(
     shared: &Shared,
     session: &Session,
     ev: &EvalRequest,
     hit: &HitFlag,
     start: Instant,
-    emit: &mut dyn FnMut(usize, &str),
+    cancel: &AtomicBool,
 ) -> JobResult {
     let key = session.cache_key(ev);
     if let Some(text) = key.as_ref().and_then(|k| shared.cache.get(k)) {
         record_hit(shared, hit, start);
         return Ok(text);
     }
-    // Series jobs always run the enumeration engine (no limit theorem
-    // shortcuts a finite μ¹..μᵏ prefix); note the route before the
-    // compute so a panicking job is still attributed.
+    // No limit theorem shortcuts a finite μ¹..μᵏ prefix, so series
+    // jobs count as the fallback route; note it before the compute so
+    // a panicking job is still attributed.
     shared.metrics.note_route(caz_planner::Route::EnumerationFallback);
-    let result = session.eval_series_chunks(&ev.args, emit);
+    let result = session.series_until(&ev.args, cancel);
     if let Ok(text) = &result {
         store_result(shared, key.as_ref(), text);
     }
@@ -717,11 +698,11 @@ pub(crate) fn settle_eval(
         shared.metrics.panics.fetch_add(1, Ordering::Relaxed);
     }
     shared.metrics.eval_latency.record(start.elapsed());
-    // A job abandoned because its client disconnected mid-stream
-    // (anytime cancellation) still counts as executed — its route was
-    // already noted, keeping the per-route partition of
-    // `jobs_executed_total` exact — but it is not a server error: no
-    // live client ever sees the [`crate::proto::CANCELLED`] payload.
+    // A series job abandoned because its client disconnected still
+    // counts as executed — its route was already noted, keeping the
+    // per-route partition of `jobs_executed_total` exact — but it is
+    // not a server error: no live client ever sees the
+    // [`crate::proto::CANCELLED`] payload.
     if result.as_deref().err().is_some_and(|e| e != crate::proto::CANCELLED) {
         shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -936,17 +917,10 @@ pub fn run_batch<R: BufRead, W: Write>(
                 let job_shared = Arc::clone(&shared);
                 let hit = new_hit_flag();
                 let job_hit = Arc::clone(&hit);
-                // Rows are not streamed in batch mode: the aggregate is
-                // rendered as chunked frames below either way.
+                // No client can vanish mid-job in batch mode.
                 let (result, outcome) = shared.pool.run(Box::new(move || {
-                    eval_series_on_worker(
-                        &job_shared,
-                        &job_session,
-                        &ev,
-                        &job_hit,
-                        start,
-                        &mut |_, _| {},
-                    )
+                    let never = AtomicBool::new(false);
+                    eval_series_on_worker(&job_shared, &job_session, &ev, &job_hit, start, &never)
                 }));
                 let result = settle_eval(&shared, &hit, start, result, outcome);
                 let frames = match result {

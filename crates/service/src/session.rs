@@ -11,7 +11,7 @@
 use caz_compare::{best_answers, dominated};
 use caz_constraints::{parse_constraints, ConstraintSet};
 use caz_core::{
-    certain_answers, mu_k, mu_k_series, BoolQueryEvent, ConstraintEvent, Series, SuppEvent,
+    certain_answers, mu_k_series_classes, BoolQueryEvent, ConstraintEvent, SuppEvent,
     TupleAnswerEvent,
 };
 use caz_datalog::{certain_datalog_answers, naive_eval_datalog, parse_program, DatalogEvent};
@@ -24,6 +24,7 @@ use caz_logic::{naive_eval, parse_query, Query};
 use caz_planner::{ExecOutcome, Features, PlanKind, QueryRef, Rejection, Route};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::AtomicBool;
 
 /// Reserved relation name used to embed the answer tuple into the
 /// database before canonicalization, so that cache keys are invariant
@@ -169,8 +170,8 @@ commands:
   best <name>                best answers (⊴-maximal)
   mu <name> [tuple]          exact measure μ(Q, D[, ā]), e.g.  mu Q (a, _x)
   cond <name> [tuple]        conditional measure μ(Q | Σ, D[, ā]) (alias: mucond)
-  series <name> <k>          the finite sequence μ¹..μᵏ (a server streams one
-                             reply chunk per k)
+  series <name> <k>          the finite sequence μ¹..μᵏ (a server replies one
+                             chunk per k)
   eval* <job>TAB<job>…       vectorized evaluation: many read-only jobs on one
                              line, TAB-separated; a server fans them out and
                              replies index-tagged chunks
@@ -233,12 +234,6 @@ impl Session {
     /// Create an empty session.
     pub fn new() -> Session {
         Session::default()
-    }
-
-    /// The loaded database (read-only; the anytime evaluator clones it
-    /// to share across enumeration subtasks).
-    pub(crate) fn db(&self) -> &Database {
-        &self.db
     }
 
     /// Execute one command line: parse, then apply.
@@ -533,7 +528,7 @@ impl Session {
     }
 
     /// Parse and validate `series` arguments: the event plus `k_max`.
-    pub(crate) fn series_args(&self, rest: &str) -> Result<(Box<dyn SuppEvent>, usize), String> {
+    fn series_args(&self, rest: &str) -> Result<(Box<dyn SuppEvent>, usize), String> {
         let (head, k_src) = rest
             .rsplit_once(char::is_whitespace)
             .ok_or("usage: series <name> <k>")?;
@@ -547,36 +542,32 @@ impl Session {
     }
 
     fn series(&self, rest: &str) -> Result<String, String> {
-        let (ev, k) = self.series_args(rest)?;
-        let s = mu_k_series(ev.as_ref(), &self.db, k);
-        let mut out = String::new();
-        write!(out, "{s}").unwrap();
-        Ok(out)
+        self.series_until(rest, &AtomicBool::new(false))
     }
 
-    /// Evaluate a `series` request incrementally: `emit(k, row)` fires
-    /// with one rendered table row as soon as that μᵏ is computed
-    /// (ascending `k`) — the server streams each row as a reply chunk
-    /// while later, more expensive `k` are still being enumerated.
-    /// Returns the aggregated text, byte-identical to what
-    /// [`Session::eval`] produces for the same request; the server
-    /// caches that aggregate so cache hits replay the same chunks.
+    /// The `series` table μ¹..μᵏ from one pass over the genericity
+    /// classes ([`mu_k_series_classes`]). The server passes the job's
+    /// cancel token, set when its client disconnects; a set token
+    /// abandons the pass with [`crate::proto::CANCELLED`].
+    pub(crate) fn series_until(&self, rest: &str, cancel: &AtomicBool) -> Result<String, String> {
+        let (ev, k) = self.series_args(rest)?;
+        let s = mu_k_series_classes(ev.as_ref(), &self.db, k, cancel)
+            .ok_or(crate::proto::CANCELLED)?;
+        Ok(s.to_string())
+    }
+
+    /// Evaluate a `series` request and hand each rendered table row to
+    /// `emit(k, row)` (ascending `k`) once the pass is done. Returns the
+    /// aggregated text, byte-identical to what [`Session::eval`]
+    /// produces for the same request and to the rows emitted.
     pub fn eval_series_chunks(
         &self,
         rest: &str,
         emit: &mut dyn FnMut(usize, &str),
     ) -> Result<String, String> {
-        let (ev, k_max) = self.series_args(rest)?;
-        let mut out = String::new();
-        for k in 1..=k_max {
-            let v = mu_k(ev.as_ref(), &self.db, k);
-            // Render through the same Display impl as the aggregate
-            // path so the chunk rows concatenate byte-for-byte.
-            let row_block = Series { ks: vec![k], values: vec![v] }.to_string();
-            let row = row_block.trim_end_matches('\n');
-            emit(k, row);
-            out.push_str(row);
-            out.push('\n');
+        let out = self.series(rest)?;
+        for (i, row) in out.lines().enumerate() {
+            emit(i + 1, row);
         }
         Ok(out)
     }

@@ -65,14 +65,12 @@ impl Client {
         decode_frame(&line).unwrap_or_else(|| panic!("malformed frame {line:?}"))
     }
 
-    /// Read frames until (and including) the group's terminal line,
-    /// filtering advisory anytime `approx` chunks.
+    /// Read frames until (and including) the group's terminal line.
     fn read_group(&mut self) -> (Vec<WireFrame>, WireReply) {
         let mut chunks = Vec::new();
         loop {
             match self.read_frame() {
                 WireFrame::Final(terminal) => return (chunks, terminal),
-                WireFrame::Chunk { tag, .. } if tag == "approx" => {}
                 chunk => chunks.push(chunk),
             }
         }

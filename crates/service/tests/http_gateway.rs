@@ -1,7 +1,6 @@
 //! End-to-end tests of the HTTP/1.1 gateway sniffed on the line
 //! protocol's port: keep-alive request sequences, chunked streaming of
-//! `series` reply groups (including anytime `approx` estimate chunks),
-//! content negotiation, status-code mapping (404/405/400/505/501/503),
+//! `series` reply groups, content negotiation, status-code mapping (404/405/400/505/501/503),
 //! pipelining under `max_inflight_per_conn`, `Connection: close`, and
 //! coexistence with line-protocol clients on the same listener.
 
@@ -94,14 +93,9 @@ fn text(resp: &HttpResponse) -> String {
     String::from_utf8(resp.body.clone()).expect("utf-8 body")
 }
 
-/// Body lines that are exact reply frames (advisory anytime `ok* approx`
-/// chunks filtered out — their values and cadence are timing-dependent).
-fn exact_lines(resp: &HttpResponse) -> Vec<String> {
-    text(resp)
-        .lines()
-        .filter(|l| !l.starts_with("ok* approx "))
-        .map(str::to_string)
-        .collect()
+/// The body's reply frames, one per line.
+fn body_lines(resp: &HttpResponse) -> Vec<String> {
+    text(resp).lines().map(str::to_string).collect()
 }
 
 #[test]
@@ -117,12 +111,12 @@ fn keep_alive_client_runs_eval_series_and_stats() {
     assert_eq!(mu.header("content-type"), Some("text/plain; charset=utf-8"));
     assert!(text(&mu).starts_with("ok "), "mu body {:?}", text(&mu));
 
-    // GET /series/<name>/<k> streams one chunk per frame; the response
-    // is chunked because frames appear as the evaluation progresses.
+    // GET /series/<name>/<k> answers one chunk per frame on a chunked
+    // response.
     let series = c.request("GET", "/series/S/4", &[], b"");
     assert_eq!(series.status, 200);
     assert_eq!(series.header("transfer-encoding"), Some("chunked"));
-    let lines = exact_lines(&series);
+    let lines = body_lines(&series);
     assert_eq!(lines.len(), 5, "4 rows + terminal: {lines:?}");
     for (i, line) in lines[..4].iter().enumerate() {
         // Series rows are tagged by their k value, starting at 1.
@@ -156,35 +150,6 @@ fn keep_alive_client_runs_eval_series_and_stats() {
 }
 
 #[test]
-fn series_streams_anytime_estimate_chunks_over_http() {
-    // Planner off makes the series an honest enumeration (~hundreds of
-    // ms in debug); a 5ms estimate cadence guarantees approx chunks.
-    let (addr, handle, join) = spawn_cfg(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        planner: false,
-        anytime_interval_ms: 5,
-        ..ServerConfig::default()
-    });
-    let mut c = HttpClient::connect(addr);
-    c.setup();
-
-    let series = c.request("GET", "/series/S/10", &[], b"");
-    assert_eq!(series.status, 200);
-    let body = text(&series);
-    assert!(
-        body.contains("ok* approx "),
-        "expected anytime estimate chunks in the streamed body:\n{body}"
-    );
-    let lines = exact_lines(&series);
-    assert_eq!(lines.last().map(String::as_str), Some("ok done 10"), "{lines:?}");
-    assert_eq!(lines.len(), 11, "10 exact rows + terminal: {lines:?}");
-
-    handle.shutdown();
-    join.join().unwrap();
-}
-
-#[test]
 fn json_negotiation_emits_ndjson_frames() {
     let (addr, handle, join) = spawn_default();
     let mut c = HttpClient::connect(addr);
@@ -203,11 +168,7 @@ fn json_negotiation_emits_ndjson_frames() {
 
     let series = c.request("GET", "/series/S/3", &accept, b"");
     assert_eq!(series.status, 200);
-    let lines: Vec<String> = text(&series)
-        .lines()
-        .filter(|l| !l.contains(r#""tag":"approx""#))
-        .map(str::to_string)
-        .collect();
+    let lines = body_lines(&series);
     assert_eq!(lines.len(), 4, "{lines:?}");
     for (i, line) in lines[..3].iter().enumerate() {
         let k = i + 1;
@@ -322,7 +283,7 @@ fn admission_cap_maps_busy_to_503_with_retry_after() {
     let first = c.read();
     assert_eq!(first.status, 200);
     assert_eq!(
-        exact_lines(&first).last().map(String::as_str),
+        body_lines(&first).last().map(String::as_str),
         Some("ok done 6")
     );
 
@@ -360,7 +321,7 @@ fn pipelined_requests_answer_in_order() {
     assert!(text(&health).starts_with("ok\n"), "{:?}", text(&health));
     let series = c.read();
     assert_eq!(
-        exact_lines(&series).last().map(String::as_str),
+        body_lines(&series).last().map(String::as_str),
         Some("ok done 2")
     );
 
@@ -385,7 +346,7 @@ fn eval_batch_streams_indexed_chunks() {
         b"mu Q (c0, _x0)\ncertain S\nmu Nope\n",
     );
     assert_eq!(resp.status, 200);
-    let lines = exact_lines(&resp);
+    let lines = body_lines(&resp);
     assert_eq!(lines.len(), 4, "{lines:?}");
     assert!(lines[0].starts_with("ok* 0 "), "{lines:?}");
     assert!(lines[1].starts_with("ok* 1 "), "{lines:?}");

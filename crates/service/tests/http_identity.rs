@@ -4,11 +4,6 @@
 //! including cache-hit series replays, vectorized batches, and `err
 //! busy` shed under a full pool queue (where HTTP additionally promotes
 //! the group to `503` + `Retry-After`).
-//!
-//! Anytime serving is disabled here: advisory `ok* approx` chunks are
-//! timing-dependent by design, so they are the one part of a streamed
-//! group that is not byte-reproducible across runs (a dedicated gateway
-//! test asserts they do flow over HTTP).
 
 use caz_service::http::{format_request, read_response};
 use caz_service::proto::{decode_frame, WireFrame};
@@ -25,13 +20,11 @@ fn spawn_cfg(cfg: ServerConfig) -> (SocketAddr, ShutdownHandle, std::thread::Joi
     (addr, handle, join)
 }
 
-/// Deterministic config: one worker (stable `eval*` completion order),
-/// anytime off (no advisory chunks).
+/// Deterministic config: one worker (stable `eval*` completion order).
 fn identity_cfg() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        anytime: false,
         ..ServerConfig::default()
     }
 }
@@ -257,7 +250,6 @@ fn busy_shed_under_a_full_pool_queue_is_byte_identical_and_503() {
             queue_cap: 1,
             queue_deadline_ms: 10_000,
             planner: false,
-            anytime: false,
             ..ServerConfig::default()
         }
     }
@@ -266,8 +258,9 @@ fn busy_shed_under_a_full_pool_queue_is_byte_identical_and_503() {
     /// job; returns the loaded clients for draining afterwards.
     fn saturate(addr: SocketAddr) -> (LineClient, LineClient) {
         let mut a1 = LineClient::connect(addr);
+        // Six nulls: the series' class pass walks ~164k classes.
         for cmd in [
-            "fact R(c0,_x0). R(c1,_x1). R(c2,_x2). R(c3,_x3). R(c4,_x4).",
+            "fact R(c0,_x0). R(c1,_x1). R(c2,_x2). R(c3,_x3). R(c4,_x4). R(c5,_x5).",
             "query Q(x, y) := R(x, y)",
             "query S := exists u, v. R(u, v)",
         ] {

@@ -1,7 +1,6 @@
 //! Integration tests of the evented reactor: many simultaneous
-//! connections on one serving thread, vectorized `eval*` fan-out,
-//! incremental `series` streaming, slow readers, and abrupt
-//! mid-stream disconnects.
+//! connections on one serving thread, vectorized `eval*` fan-out, slow
+//! readers, and clients that vanish while their job runs.
 
 use caz_service::proto::{decode_frame, decode_reply, join_jobs, WireFrame, WireReply};
 use caz_service::{Server, ServerConfig, ShutdownHandle};
@@ -184,56 +183,6 @@ fn one_reactor_thread_serves_64_concurrent_connections() {
     join.join().unwrap();
 }
 
-#[test]
-fn series_streams_chunks_before_the_last_k_is_computed() {
-    let (addr, handle, join) = spawn_server(2);
-    let mut client = Client::connect(addr);
-
-    // Five nulls make μᵏ cost grow steeply with k: the last few k of
-    // `series Q 8` dominate the total by a wide margin, while k=1 is
-    // nearly instant.
-    let facts: Vec<String> = (0..5).map(|i| format!("R(c{i}, _x{i}).")).collect();
-    client.send_ok(&format!("fact {}", facts.join(" ")));
-    client.send_ok("query Q := exists u, v. R(u, v)");
-
-    let sent = Instant::now();
-    client.push("series Q 8");
-    // Anytime serving may interleave advisory `approx` estimate chunks;
-    // the first *row* chunk must still be k=1 and arrive early.
-    let first = loop {
-        match client.read_frame() {
-            WireFrame::Chunk { tag, .. } if tag == "approx" => continue,
-            frame => break frame,
-        }
-    };
-    let first_at = sent.elapsed();
-    assert!(
-        matches!(&first, WireFrame::Chunk { tag, .. } if tag == "1"),
-        "{first:?}"
-    );
-    let (rest, terminal) = client.read_group();
-    let done_at = sent.elapsed();
-    assert_eq!(terminal, WireReply::Ok("done 8".into()));
-    let rows: Vec<_> = rest
-        .iter()
-        .filter(|c| !matches!(c, WireFrame::Chunk { tag, .. } if tag == "approx"))
-        .collect();
-    assert_eq!(rows.len(), 7, "{rest:?}");
-
-    // Streaming means the first row left the server while later, more
-    // expensive rows were still being computed — so it must arrive in
-    // a small fraction of the total time. A buffered (non-streaming)
-    // implementation delivers everything at once: first ≈ done.
-    assert!(
-        first_at < done_at / 2,
-        "first chunk after {first_at:?}, group done after {done_at:?}: series reply was not streamed"
-    );
-
-    assert_eq!(client.send("quit"), WireReply::Bye);
-    handle.shutdown();
-    join.join().unwrap();
-}
-
 /// Resize a socket's receive buffer: tiny to simulate a slow reader
 /// (the peer's writes hit flow control almost immediately), large to
 /// let the backlog drain at full speed afterwards.
@@ -311,111 +260,75 @@ fn slow_reader_stalls_only_its_own_connection() {
     join.join().unwrap();
 }
 
-/// One run of the abrupt-disconnect scenario against a fresh server.
-/// Returns `Err` only for the one genuinely scheduling-dependent
-/// observable — no enumeration subtask saw the cancel token before the
-/// job settled — and panics on every hard contract violation.
-fn abrupt_disconnect_scenario() -> Result<(), String> {
-    let (addr, handle, join) = spawn_server(2);
-    let facts = {
-        let rows: Vec<String> = (0..5).map(|i| format!("R(c{i}, _x{i}).")).collect();
-        format!("fact {}", rows.join(" "))
-    };
+/// Nine nulls over nine named constants: `series Q 24` walks more than
+/// 9⁹ classes — many minutes of work — unless cancelled.
+fn heavy_session() -> Vec<String> {
+    let rows: Vec<String> = (0..9).map(|i| format!("R(c{i}, _x{i}).")).collect();
+    vec![format!("fact {}", rows.join(" ")), "query Q := exists u, v. R(u, v)".into()]
+}
 
-    // Start a streamed series with an expensive tail (the k=9 and k=10
-    // rows alone are ~160k valuations), read up to the k=8 row, then
-    // vanish: the next flush for this connection fails, the reactor
-    // fires the job's cancel token, and the scattered enumeration
-    // subtasks of the remaining rows abort instead of burning the pool
-    // for a reply nobody will read.
-    {
-        let mut doomed = Client::connect(addr);
-        doomed.send_ok(&facts);
-        doomed.send_ok("query Q := exists u, v. R(u, v)");
-        doomed.push("series Q 10");
-        loop {
-            if matches!(doomed.read_frame(), WireFrame::Chunk { tag, .. } if tag == "8") {
-                break;
-            }
-        }
-        // Drop both socket halves mid-stream.
-    }
+/// Start `series Q 24` on a fresh connection, then vanish without the
+/// server ever writing to it mid-job: the `help` reply queued ahead of
+/// the series is left unread, so closing the socket makes the kernel
+/// send a reset, which the reactor sees as an error event.
+fn start_heavy_series_and_reset(addr: SocketAddr) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut script = heavy_session().join("\n");
+    script.push_str("\nhelp\nseries Q 24\n");
+    stream.write_all(script.as_bytes()).unwrap();
+    // Let every line arrive and the series reach a worker.
+    std::thread::sleep(Duration::from_millis(300));
+}
 
-    // The cancelled job settles promptly — long before the full
-    // enumeration could have finished — and still counts as executed
-    // (the route counters partition executed jobs), but not as an
-    // error, and nothing is cached.
-    let mut probe = Client::connect(addr);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let stats = loop {
+/// Poll `stats` until `jobs_executed_total` reaches `n`, failing after
+/// `within` — far shorter than an uncancelled pass.
+fn wait_executed(probe: &mut Client, n: u64, within: Duration) -> String {
+    let deadline = Instant::now() + within;
+    loop {
         let stats = probe.send_ok("stats");
-        if stats_field(&stats, "jobs_executed_total") >= 1 {
-            break stats;
+        if stats_field(&stats, "jobs_executed_total") >= n {
+            return stats;
         }
         assert!(Instant::now() < deadline, "cancelled job never settled:\n{stats}");
         std::thread::sleep(Duration::from_millis(20));
-    };
-    assert_eq!(stats_field(&stats, "errors_total"), 0, "{stats}");
-    let observed = stats_field(&stats, "subtasks_cancelled_total");
-
-    // The server stays fully functional, and the identical request is
-    // a cache miss (a cancelled job must never cache a partial result):
-    // it recomputes and streams the complete, correct group. When the
-    // cancel token instead landed in the narrow window where the job
-    // aborts between scattered rows (observed == 0, checked below),
-    // the job still settled cancelled, so this stays a cache miss too.
-    probe.send_ok(&facts);
-    probe.send_ok("query Q := exists u, v. R(u, v)");
-    assert_eq!(probe.send_ok("mu Q"), "μ(Q, D) = 1");
-    let (chunks, terminal) = {
-        probe.push("series Q 10");
-        probe.read_group()
-    };
-    assert_eq!(terminal, WireReply::Ok("done 10".into()));
-    let rows: Vec<_> = chunks
-        .iter()
-        .filter(|c| !matches!(c, WireFrame::Chunk { tag, .. } if tag == "approx"))
-        .collect();
-    assert_eq!(rows.len(), 10, "{chunks:?}");
-    let stats = probe.send_ok("stats");
-    assert_eq!(
-        stats_field(&stats, "jobs_cached_total"),
-        0,
-        "a cancelled series must not populate the cache:\n{stats}"
-    );
-
-    assert_eq!(probe.send("quit"), WireReply::Bye);
-    handle.shutdown();
-    join.join().unwrap();
-
-    if observed >= 1 {
-        Ok(())
-    } else {
-        Err(format!(
-            "no enumeration subtask observed the cancellation (token landed \
-             between scattered rows):\n{stats}"
-        ))
     }
 }
 
 #[test]
-fn abrupt_disconnect_mid_stream_cancels_the_job_and_leaves_the_server_healthy() {
-    // Every contract assertion (settles promptly, not an error, not
-    // cached, server stays healthy) is hard and runs on every attempt.
-    // Whether a *subtask* was the one to observe the cancel token is
-    // scheduling-dependent: the token can land in the sliver where the
-    // owner aborts between rows and every in-flight slice already
-    // passed its last cancellation poll. Retry the scenario — on a
-    // fresh server — for that one observable instead of flaking.
-    let mut last = String::new();
-    for attempt in 0..3 {
-        match abrupt_disconnect_scenario() {
-            Ok(()) => return,
-            Err(e) => {
-                eprintln!("attempt {attempt}: {e}");
-                last = e;
-            }
-        }
+fn abrupt_disconnect_cancels_the_job_and_leaves_the_server_healthy() {
+    let (addr, handle, join) = spawn_server(2);
+    let mut probe = Client::connect(addr);
+    let settle = Duration::from_secs(20);
+
+    // The job settles promptly once its client resets — long before
+    // the class pass could have finished — and counts as executed (the
+    // route counters partition executed jobs) but not as an error.
+    start_heavy_series_and_reset(addr);
+    let stats = wait_executed(&mut probe, 1, settle);
+    assert_eq!(stats_field(&stats, "errors_total"), 0, "{stats}");
+    assert_eq!(stats_field(&stats, "jobs_cached_total"), 0, "{stats}");
+
+    // A cancelled job must never cache a partial result: the identical
+    // request is a miss that starts the whole pass again (a hit would
+    // have been answered, and counted, at once).
+    start_heavy_series_and_reset(addr);
+    let stats = wait_executed(&mut probe, 2, settle);
+    assert_eq!(stats_field(&stats, "jobs_cached_total"), 0, "{stats}");
+    assert_eq!(stats_field(&stats, "errors_total"), 0, "{stats}");
+
+    // The server stays fully functional.
+    for line in heavy_session() {
+        probe.send_ok(&line);
     }
-    panic!("subtask cancellation never observed in 3 runs; last: {last}");
+    assert_eq!(probe.send_ok("mu Q"), "μ(Q, D) = 1");
+    probe.push("series Q 3");
+    let (rows, terminal) = probe.read_group();
+    assert_eq!(terminal, WireReply::Ok("done 3".into()));
+    assert_eq!(rows.len(), 3, "{rows:?}");
+
+    assert_eq!(probe.send("quit"), WireReply::Bye);
+    // Shutdown joins every worker: a pass that ignored its cancel token
+    // would hold this for minutes.
+    handle.shutdown();
+    join.join().unwrap();
 }

@@ -18,7 +18,7 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 # The evaluation server's reactor and concurrency tests exercise
-# timing-sensitive paths (streamed series chunks, 64-connection
+# timing-sensitive paths (abrupt disconnects, 64-connection
 # multiplexing, backpressure); run them under --release as well so the
 # optimized build the server actually ships as is what gets tested.
 echo "==> cargo test -q -p caz-service --release"
@@ -43,6 +43,18 @@ fi
 echo "==> planner differential suite (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
 if ! cargo test -q -p caz-service --test planner_differential; then
     echo "planner differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test -p caz-service --test planner_differential" >&2
+    exit 1
+fi
+
+# Series differential stage: the class-based series (one pass over the
+# genericity classes of Theorem 3) against the enumeration oracle
+# mu_k_series, byte for byte, on 600+ seeded cases (k <= 9, m <= 6),
+# in the release build so the largest cases fit; then the wire-level
+# version: served `series` frames against the oracle's rendering.
+echo "==> series class differential (CAZ_TEST_SEED=${CAZ_TEST_SEED})"
+if ! cargo test -q --release -p caz-core --test series_classes \
+    || ! cargo test -q -p caz-service --test series_differential; then
+    echo "series differential FAILED — reproduce with: CAZ_TEST_SEED=${CAZ_TEST_SEED} cargo test --release -p caz-core --test series_classes (and -p caz-service --test series_differential)" >&2
     exit 1
 fi
 
@@ -132,59 +144,43 @@ for want in '"workload": "service"' '"malformed": 0' '"offered_qps"' '"achieved_
 done
 echo "    load smoke OK: overload shed cleanly, report schema intact"
 
-# Anytime smoke stage: run one cliff series job (7^5 = 16807
-# valuations on the last row, over the split threshold) against a live
-# server twice — anytime on (the default) and --no-anytime — over a
-# real TCP connection (batch mode deliberately doesn't stream, so the
-# wire is the only place this can be observed). Asserts the contract
-# docs/ANYTIME.md promises: the first frame is an approx estimate
-# (the eager batch precedes all exact work), and deleting the approx
-# frames leaves output byte-identical to the sequential baseline.
-echo "==> anytime smoke (streamed estimates, --no-anytime byte identity)"
-anytime_series() { # $1: "on"|"off"  $2: output file
-    local flags=()
-    [ "$1" = off ] && flags+=(--no-anytime)
-    ./target/release/caz serve --addr 127.0.0.1:0 --workers 4 "${flags[@]}" \
-        2> "$STORE_TMP/serve.err" &
-    local srv=$!
-    local addr=""
-    for _ in $(seq 100); do
-        addr="$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$STORE_TMP/serve.err")"
-        [ -n "$addr" ] && break
-        sleep 0.05
-    done
-    [ -n "$addr" ] || { echo "anytime smoke FAILED: server did not start" >&2; exit 1; }
-    exec 3<>"/dev/tcp/127.0.0.1/${addr##*:}"
-    printf 'fact R(c0, _x0). R(c1, _x1). R(c2, _x2). R(c3, _x3). R(c4, _x4).\nquery Z := exists u, v. R(u, v)\nseries Z 7\n' >&3
-    : > "$2"
-    local line
-    read -r line <&3   # `fact` reply
-    read -r line <&3   # `query` reply
-    while IFS= read -r line <&3; do
-        printf '%s\n' "$line" >> "$2"
-        case "$line" in "ok done"*) break ;; esac
-    done
-    exec 3<&- 3>&-
-    kill "$srv" 2>/dev/null || true
-    wait "$srv" 2>/dev/null || true
-}
-anytime_series on "$STORE_TMP/series_any.out"
-anytime_series off "$STORE_TMP/series_seq.out"
-# The eager estimator batch runs before any exact work, so the very
-# first frame must be an approx chunk.
-first_frame="$(head -n 1 "$STORE_TMP/series_any.out")"
-case "$first_frame" in
-    "ok* approx "*) ;;
-    *) echo "anytime smoke FAILED: first frame is not an approx chunk: $first_frame" >&2
-       exit 1 ;;
-esac
-grep -q '^ok\* approx ' "$STORE_TMP/series_seq.out" \
-    && { echo "anytime smoke FAILED: --no-anytime streamed an approx chunk" >&2; exit 1; }
-grep -v '^ok\* approx ' "$STORE_TMP/series_any.out" > "$STORE_TMP/series_any.exact"
-cmp -s "$STORE_TMP/series_any.exact" "$STORE_TMP/series_seq.out" \
-    || { echo "anytime smoke FAILED: exact frames diverge from --no-anytime" >&2; \
-         diff "$STORE_TMP/series_any.exact" "$STORE_TMP/series_seq.out" >&2 || true; exit 1; }
-echo "    anytime OK: estimates streamed first, exact frames byte-identical"
+# Series wire smoke: one cliff series job (5 nulls, 6 named constants,
+# k = 9, the shape of the benchmark's cliff-miss class) served by a
+# live server over a real TCP connection must reply byte-for-byte what
+# `caz serve --batch` writes for the same script — both answer from one
+# exact pass over the genericity classes and frame the table the same
+# way.
+echo "==> series wire smoke (TCP reply == --batch reply)"
+printf 'fact R(c0, _x0). R(c1, _x1). R(c2, _x2). R(c3, _x3). R(c4, _x4). J(j0).\nquery Z := exists p. R(c0, p) & R(c1, p)\nseries Z 9\n' \
+    > "$STORE_TMP/series.caz"
+./target/release/caz serve --batch "$STORE_TMP/series.caz" | tail -n +3 > "$STORE_TMP/series_batch.out"
+./target/release/caz serve --addr 127.0.0.1:0 --workers 2 2> "$STORE_TMP/serve.err" &
+SERIES_SRV=$!
+SERIES_ADDR=""
+for _ in $(seq 100); do
+    SERIES_ADDR="$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$STORE_TMP/serve.err")"
+    [ -n "$SERIES_ADDR" ] && break
+    sleep 0.05
+done
+[ -n "$SERIES_ADDR" ] || { echo "series smoke FAILED: server did not start" >&2; exit 1; }
+exec 3<>"/dev/tcp/127.0.0.1/${SERIES_ADDR##*:}"
+cat "$STORE_TMP/series.caz" >&3
+read -r line <&3   # `fact` reply
+read -r line <&3   # `query` reply
+: > "$STORE_TMP/series_tcp.out"
+while IFS= read -r line <&3; do
+    printf '%s\n' "$line" >> "$STORE_TMP/series_tcp.out"
+    case "$line" in "ok done"*) break ;; esac
+done
+exec 3<&- 3>&-
+kill "$SERIES_SRV" 2>/dev/null || true
+wait "$SERIES_SRV" 2>/dev/null || true
+grep -qx 'ok done 9' "$STORE_TMP/series_batch.out" \
+    || { echo "series smoke FAILED: batch reply is not a 9-row group" >&2; exit 1; }
+cmp -s "$STORE_TMP/series_tcp.out" "$STORE_TMP/series_batch.out" \
+    || { echo "series smoke FAILED: TCP frames diverge from --batch" >&2; \
+         diff "$STORE_TMP/series_tcp.out" "$STORE_TMP/series_batch.out" >&2 || true; exit 1; }
+echo "    series OK: TCP and batch replies byte-identical"
 
 # HTTP smoke stage: the gateway over raw /dev/tcp (no curl, no HTTP
 # library — the point is that a shell is a sufficient client). Two

@@ -54,13 +54,6 @@ options for serve:
                               when the pool queue is full, and expire
                               jobs that wait longer than <n> ms — both
                               answer 'err busy' (default 0 = disabled)
-  --no-anytime                disable anytime serving: 'series' jobs run
-                              sequentially on one worker and stream no
-                              'ok* approx' estimate chunks (baseline and
-                              escape hatch; final rows are byte-identical
-                              either way)
-  --anytime-interval-ms <n>   cadence of the streamed approx estimates
-                              for expensive 'series' jobs (default 25)
   --http / --no-http          serve HTTP/1.1 (keep-alive + chunked
                               responses) on the same port as the line
                               protocol, sniffed per connection from the
@@ -68,9 +61,8 @@ options for serve:
                               restores a line-protocol-only listener)
   --max-wbuf-bytes <n>        disconnect a connection whose unsent
                               reply bytes exceed <n> — a slow reader
-                              on a streamed series no longer buffers
-                              without bound (default 4194304; 0 =
-                              unbounded)
+                              no longer buffers without bound (default
+                              4194304; 0 = unbounded)
   --role <leader|replica>     replication role (default: standalone).
                               A leader requires --cache-path and ships
                               its WAL to replicas; a replica requires
@@ -183,10 +175,6 @@ fn serve(args: &[String]) -> ExitCode {
                 cfg.planner = false;
                 Ok(())
             }
-            "--no-anytime" => {
-                cfg.anytime = false;
-                Ok(())
-            }
             "--http" => {
                 cfg.http = true;
                 Ok(())
@@ -197,11 +185,6 @@ fn serve(args: &[String]) -> ExitCode {
             }
             "--max-wbuf-bytes" => {
                 parse_num_or_zero(value("--max-wbuf-bytes"), &mut cfg.max_wbuf_bytes)
-            }
-            "--anytime-interval-ms" => {
-                let mut ms = cfg.anytime_interval_ms as usize;
-                parse_num(value("--anytime-interval-ms"), &mut ms)
-                    .map(|()| cfg.anytime_interval_ms = ms as u64)
             }
             "--role" => value("--role").and_then(|v| Role::parse(&v).map(|r| cfg.role = r)),
             "--replication-addr" => {
